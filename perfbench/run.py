@@ -5,7 +5,7 @@ Run from the repository root:
 
     python3 perfbench/run.py --workload summarize --seed 1 --seconds 15 --trace 0
 
-It builds the library and the perfbench driver from source (Release, into
+It builds the library and the perfbench binary from source (Release, into
 .bench_build/), runs the output-check self-test once per build, sets the
 workload up in one process (repeated, so set-up time is a median), measures
 it in another, and prints one JSON object as the last line of stdout:
@@ -103,7 +103,7 @@ def log_tail(path, lines=30):
 
 
 def build():
-    """Configures (once) and builds the Release driver; exits on failure."""
+    """Configures (once) and builds the Release binary; exits on failure."""
     if not os.path.isfile(os.path.join(SOURCE_ROOT, "CMakeLists.txt")):
         fail("no library sources next to %s: run from a full checkout"
              % BENCH_DIR, 2)
@@ -160,7 +160,7 @@ def binary_info():
     out = subprocess.run([BINARY, "info"], capture_output=True, text=True,
                          timeout=30)
     if out.returncode != 0:
-        fail("cannot query the driver binary", 2)
+        fail("cannot query the perfbench binary", 2)
     info = json.loads(out.stdout.strip().splitlines()[-1])
     if not info.get("release"):
         fail("refusing to measure a non-Release build (%s)"
@@ -265,7 +265,7 @@ def main():
         values["setup_s"] = setup_s
         for name in END_TO_END[args.workload]:
             if name not in values:
-                fail("the driver did not report %s" % name)
+                fail("the perfbench binary did not report %s" % name)
             metrics[name] = {"value": values[name], "unit": UNITS[name]}
     else:
         layers = dict(setup["layers"])

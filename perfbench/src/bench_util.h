@@ -1,4 +1,4 @@
-// Shared plumbing for the perfbench driver: clocks, order statistics, a
+// Shared plumbing for the perfbench binary: clocks, order statistics, a
 // one-line JSON writer, file helpers, an in-memory span tracer, and the
 // report every workload fills in.
 

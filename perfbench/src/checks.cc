@@ -61,6 +61,14 @@ std::string CheckBudget(const std::string& bytes, const Graph& graph,
   return "";
 }
 
+std::string CheckSummaryFile(const std::string& bytes, const Graph& graph,
+                             double ratio) {
+  std::string problem = CheckBudget(bytes, graph, ratio);
+  if (problem.empty()) problem = CheckPartition(bytes);
+  if (problem.empty()) problem = CheckPsbValid(bytes);
+  return problem;
+}
+
 std::string CheckPartition(const std::string& bytes) {
   auto decoded = pegasus::psb::DecodePsb(Bytes(bytes), bytes.size(),
                                          "partition-check",

@@ -22,6 +22,11 @@ namespace perfbench {
 std::string CheckBudget(const std::string& bytes, const pegasus::Graph& graph,
                         double ratio);
 
+// CheckBudget, CheckPartition and CheckPsbValid in that order: the first
+// problem, or an empty string.
+std::string CheckSummaryFile(const std::string& bytes,
+                             const pegasus::Graph& graph, double ratio);
+
 // Every node 0..|V|-1 lies in exactly one supernode's member list, and
 // node_to_super agrees with those lists.
 std::string CheckPartition(const std::string& bytes);

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 #include <set>
+#include <sstream>
 #include <tuple>
 
 #include "src/util/rng.h"
@@ -170,6 +171,33 @@ double RepeatShare(
   }
   return total == 0 ? 0.0
                     : static_cast<double>(repeats) / static_cast<double>(total);
+}
+
+bool WriteExactTops(const std::string& path,
+                    const std::vector<ExactTop>& tops) {
+  std::ofstream out(path, std::ios::trunc);
+  for (const ExactTop& t : tops) {
+    out << t.kind << " " << t.node;
+    for (NodeId v : t.top) out << " " << v;
+    out << "\n";
+  }
+  return static_cast<bool>(out);
+}
+
+std::vector<ExactTop> ReadExactTops(const std::string& path) {
+  std::vector<ExactTop> out;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    std::istringstream fields(line);
+    ExactTop t;
+    uint64_t v = 0;
+    if (!(fields >> t.kind >> v)) continue;
+    t.node = static_cast<NodeId>(v);
+    while (fields >> v) t.top.push_back(static_cast<NodeId>(v));
+    out.push_back(std::move(t));
+  }
+  return out;
 }
 
 bool WriteNodeList(const std::string& path, const std::vector<NodeId>& nodes) {

@@ -68,6 +68,17 @@ std::vector<std::string> ShardedRound(pegasus::NodeId num_nodes, uint64_t seed,
 // already occurred earlier in the same sequence.
 double RepeatShare(const std::vector<std::vector<pegasus::QueryRequest>>& batches);
 
+// One exact reference answer: the family ("rwr" or "php"), the query
+// node and its exact top-K node ids. Set-up writes them, one per line,
+// and the measuring process reads them back.
+struct ExactTop {
+  std::string kind;
+  pegasus::NodeId node = 0;
+  std::vector<pegasus::NodeId> top;
+};
+bool WriteExactTops(const std::string& path, const std::vector<ExactTop>& tops);
+std::vector<ExactTop> ReadExactTops(const std::string& path);
+
 bool WriteNodeList(const std::string& path,
                    const std::vector<pegasus::NodeId>& nodes);
 bool ReadNodeList(const std::string& path, std::vector<pegasus::NodeId>* nodes);

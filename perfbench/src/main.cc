@@ -1,4 +1,4 @@
-// perfbench driver binary. run.py is its only intended caller:
+// The perfbench binary. run.py is its only intended caller:
 //
 //   perfbench info
 //   perfbench selftest --dir D

@@ -144,9 +144,7 @@ void SetupPersonalized(const Args& args, Report* report) {
       first_psb = bytes;
       first = *std::move(result);
       graph = *std::move(loaded);
-      std::string problem = CheckBudget(bytes, graph, kRatio);
-      if (problem.empty()) problem = CheckPartition(bytes);
-      if (problem.empty()) problem = CheckPsbValid(bytes);
+      const std::string problem = CheckSummaryFile(bytes, graph, kRatio);
       if (!problem.empty()) report->FailCheck(problem);
     } else if (bytes != first_psb ||
                result->merge_stats.merges != first.merge_stats.merges) {
@@ -155,19 +153,14 @@ void SetupPersonalized(const Args& args, Report* report) {
   }
 
   // Exact reference answers for the precision sample (untimed).
-  std::ofstream exact(ExactPath(args), std::ios::trunc);
+  std::vector<ExactTop> exact;
   for (NodeId q : PrecisionSample(targets, args.seed, kPrecisionNodes)) {
-    exact << "rwr " << q;
-    for (NodeId v : TopK(pegasus::ExactRwrScores(graph, q), kTop)) {
-      exact << " " << v;
-    }
-    exact << "\nphp " << q;
-    for (NodeId v : TopK(pegasus::ExactPhpScores(graph, q), kTop)) {
-      exact << " " << v;
-    }
-    exact << "\n";
+    exact.push_back({"rwr", q, TopK(pegasus::ExactRwrScores(graph, q), kTop)});
+    exact.push_back({"php", q, TopK(pegasus::ExactPhpScores(graph, q), kTop)});
   }
-  if (!exact) report->FailCheck("cannot write " + ExactPath(args));
+  if (!WriteExactTops(ExactPath(args), exact)) {
+    report->FailCheck("cannot write " + ExactPath(args));
+  }
 
   report->info.Add("setup_s", times)
       .Add("nodes", static_cast<uint64_t>(graph.num_nodes()))
@@ -239,27 +232,18 @@ void RunPersonalized(const Args& args, Report* report) {
   // graph, computed at set-up.
   double precision_sum = 0.0;
   size_t precision_count = 0;
-  {
-    std::ifstream exact(ExactPath(args));
-    std::string line;
-    while (std::getline(exact, line)) {
-      std::istringstream in(line);
-      std::string kind;
-      uint64_t q = 0;
-      in >> kind >> q;
-      std::vector<NodeId> truth;
-      for (uint64_t v = 0; in >> v;) truth.push_back(static_cast<NodeId>(v));
-      QueryRequest request;
-      request.kind = kind == "rwr" ? QueryKind::kRwr : QueryKind::kPhp;
-      request.node = static_cast<NodeId>(q);
-      auto answer = service.AnswerOne(request);
-      if (!answer || q >= n) {
-        report->FailCheck("precision sample query failed: " + line);
-        continue;
-      }
-      precision_sum += PrecisionOf(truth, TopK(answer->scores, kTop), kTop);
-      ++precision_count;
+  for (const ExactTop& exact : ReadExactTops(ExactPath(args))) {
+    QueryRequest request;
+    request.kind = exact.kind == "rwr" ? QueryKind::kRwr : QueryKind::kPhp;
+    request.node = exact.node;
+    auto answer = service.AnswerOne(request);
+    if (!answer) {
+      report->FailCheck("precision sample query failed: " +
+                        answer.status().ToString());
+      continue;
     }
+    precision_sum += PrecisionOf(exact.top, TopK(answer->scores, kTop), kTop);
+    ++precision_count;
   }
   if (precision_count != 2 * std::min(kPrecisionNodes, targets.size())) {
     report->FailCheck("exact reference answers are missing");

@@ -155,9 +155,7 @@ void SetupSharded(const Args& args, Report* report) {
       ReadFile(ShardPath(args, s), &bytes);
       psb_bytes += bytes.size();
       if (rep == 0) {
-        std::string problem = CheckBudget(bytes, graph, kRatio);
-        if (problem.empty()) problem = CheckPartition(bytes);
-        if (problem.empty()) problem = CheckPsbValid(bytes);
+        const std::string problem = CheckSummaryFile(bytes, graph, kRatio);
         if (!problem.empty()) {
           report->FailCheck("shard " + std::to_string(s) + ": " + problem);
         }
@@ -176,16 +174,15 @@ void SetupSharded(const Args& args, Report* report) {
 
   // Exact RWR answers for the precision sample (untimed).
   pegasus::Rng rng(pegasus::SplitMix64(args.seed ^ 0x3b1d));
-  std::ofstream exact(ExactPath(args), std::ios::trunc);
+  std::vector<ExactTop> exact;
   for (uint64_t q : rng.SampleDistinct(graph.num_nodes(), kPrecisionNodes)) {
-    exact << "rwr " << q;
-    for (NodeId v :
-         TopK(pegasus::ExactRwrScores(graph, static_cast<NodeId>(q)), kTop)) {
-      exact << " " << v;
-    }
-    exact << "\n";
+    const NodeId node = static_cast<NodeId>(q);
+    exact.push_back(
+        {"rwr", node, TopK(pegasus::ExactRwrScores(graph, node), kTop)});
   }
-  if (!exact) report->FailCheck("cannot write " + ExactPath(args));
+  if (!WriteExactTops(ExactPath(args), exact)) {
+    report->FailCheck("cannot write " + ExactPath(args));
+  }
 
   report->info.Add("setup_s", times)
       .Add("shards", static_cast<uint64_t>(shards))
@@ -263,28 +260,19 @@ void RunSharded(const Args& args, Report* report) {
   // Precision of merged RWR answers on the fixed sample.
   double precision_sum = 0.0;
   size_t precision_count = 0;
-  {
-    std::ifstream exact(ExactPath(args));
-    std::string line;
-    while (std::getline(exact, line)) {
-      std::istringstream in(line);
-      std::string kind;
-      uint64_t q = 0;
-      in >> kind >> q;
-      std::vector<NodeId> truth;
-      for (uint64_t v = 0; in >> v;) truth.push_back(static_cast<NodeId>(v));
-      QueryRequest request;
-      request.kind = QueryKind::kRwr;
-      request.node = static_cast<NodeId>(q);
-      auto answer = coordinator->Answer({request});
-      if (!answer) {
-        report->FailCheck("precision sample query failed: " + line);
-        continue;
-      }
-      precision_sum +=
-          PrecisionOf(truth, TopK(answer->results[0].scores, kTop), kTop);
-      ++precision_count;
+  for (const ExactTop& exact : ReadExactTops(ExactPath(args))) {
+    QueryRequest request;
+    request.kind = QueryKind::kRwr;
+    request.node = exact.node;
+    auto answer = coordinator->Answer({request});
+    if (!answer) {
+      report->FailCheck("precision sample query failed: " +
+                        answer.status().ToString());
+      continue;
     }
+    precision_sum +=
+        PrecisionOf(exact.top, TopK(answer->results[0].scores, kTop), kTop);
+    ++precision_count;
   }
   if (precision_count != kPrecisionNodes) {
     report->FailCheck("exact reference answers are missing");

@@ -233,9 +233,7 @@ void RunSummarize(const Args& args, Report* report) {
       counters += c;
       std::string problem;
       if (pass == 0) {
-        problem = CheckBudget(bytes, *graph, kRatio);
-        if (problem.empty()) problem = CheckPartition(bytes);
-        if (problem.empty()) problem = CheckPsbValid(bytes);
+        problem = CheckSummaryFile(bytes, *graph, kRatio);
         if (problem.empty()) {
           auto loaded = pegasus::LoadSummaryBinary(PsbPath(args, which));
           problem = loaded ? CheckSameSummary(result->summary, *loaded)
