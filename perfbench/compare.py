@@ -22,6 +22,9 @@ against the metric's bound from BENCHMARK.json:
                 NEW run beats (better) or trails (worse) every BASE run;
     within      none of the above.
 
+setup_s is judged by its medians alone (worse / better / within): set-up
+runs a few times per run, and its spread is not held to the bound.
+
 Counts are compared exactly: attempted and failed operations per workload,
 and, for traced runs of the same seed in both sets, every deterministic
 per-layer counter, as NEW - BASE deltas.
@@ -33,11 +36,8 @@ import os
 import statistics
 import sys
 
-COUNTERS = (
-    "core.iterations", "core.merge_evaluations", "core.merges",
-    "core.superedges_dropped", "core.psb_bytes", "shard.frame_bytes",
-    "shard.fanout", "serve.cache_hits", "serve.cache_computations",
-)
+sys.dont_write_bytecode = True  # keep the checkout free of __pycache__
+import spec  # noqa: E402  (perfbench/spec.py, next to this file)
 
 
 def load_set(directory):
@@ -62,8 +62,17 @@ def load_set(directory):
             print("skipping %s: no run.py output" % path, file=sys.stderr)
             continue
         result["seed"] = meta["seed"]
+        result["layers"] = meta.get("layers", {})
         runs.setdefault((meta["workload"], meta["trace"]), []).append(result)
     return runs
+
+
+def counter(result, name):
+    """A traced run's counter, from its per-layer metrics or, for the
+    sharded-only ones, from the layer figures of its meta line."""
+    if name in result["metrics"]:
+        return result["metrics"][name]["value"]
+    return result["layers"].get(name)
 
 
 def quartiles(values):
@@ -73,11 +82,14 @@ def quartiles(values):
     return q1, statistics.median(values), q3
 
 
-def verdict(base, new, better, bound):
+def verdict(base, new, better, bound, median_only=False):
     b1, bm, b3 = quartiles(base)
     n1, nm, n3 = quartiles(new)
     sign = 1.0 if better == "lower" else -1.0
     change = sign * (nm - bm) / bm  # > 0: NEW is worse
+    if median_only:
+        return ("worse" if change > bound else
+                "better" if -change > bound else "within")
     all_better = all(sign * (n - b) < 0 for n in new for b in base)
     all_worse = all(sign * (n - b) > 0 for n in new for b in base)
     base_spread = (b3 - b1) / abs(bm)
@@ -96,17 +108,16 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("base")
     parser.add_argument("new")
-    parser.add_argument("--benchmark", default="BENCHMARK.json")
+    parser.add_argument("--benchmark", default=spec.BENCHMARK_JSON)
     args = parser.parse_args()
-    with open(args.benchmark) as f:
-        spec = json.load(f)
-    bounds = {m["name"]: m for m in spec["end_to_end"]}
+    bench = spec.load(args.benchmark)
+    bounds = {m["name"]: m for m in bench["end_to_end"]}
     base, new = load_set(args.base), load_set(args.new)
 
     print("%-20s %-20s %12s %22s %12s %22s %8s  %s" % (
         "workload", "metric", "base median", "base q1..q3", "new median",
         "new q1..q3", "new/base", "verdict"))
-    for workload in [w["name"] for w in spec["workloads"]]:
+    for workload in [w["name"] for w in bench["workloads"]]:
         b_runs, n_runs = base.get((workload, 0), []), new.get((workload, 0), [])
         if not b_runs or not n_runs:
             print("%-20s (no untraced runs in both sets)" % workload)
@@ -125,7 +136,8 @@ def main():
                   % (workload, name + " " + unit, bm,
                      "%.5g..%.5g" % (b1, b3), nm, "%.5g..%.5g" % (n1, n3),
                      nm / bm if bm else float("nan"),
-                     verdict(bv, nv, m["better"], m["bound"]), m["bound"]))
+                     verdict(bv, nv, m["better"], m["bound"],
+                             name in spec.MEDIAN_ONLY), m["bound"]))
         for key in ("attempted", "failed"):
             bm = statistics.median([r[key] for r in b_runs])
             nm = statistics.median([r[key] for r in n_runs])
@@ -139,17 +151,17 @@ def main():
             workload, "failed share", b_share, "", n_share))
 
     # Counters are deterministic per seed: compare runs of the same seed.
-    for workload in [w["name"] for w in spec["workloads"]]:
+    for workload in [w["name"] for w in bench["workloads"]]:
         b_runs = {r["seed"]: r for r in base.get((workload, 1), [])}
         n_runs = {r["seed"]: r for r in new.get((workload, 1), [])}
         seeds = sorted(set(b_runs) & set(n_runs))
         if not seeds:
             continue
-        for name in COUNTERS:
+        for name in spec.COUNTERS:
             deltas = []
             for seed in seeds:
-                b = b_runs[seed]["metrics"].get(name, {}).get("value")
-                n = n_runs[seed]["metrics"].get(name, {}).get("value")
+                b, n = (counter(runs[seed], name)
+                        for runs in (b_runs, n_runs))
                 if b is not None and n is not None and (b or n):
                     deltas.append((seed, b, n))
             if not deltas:

@@ -3,7 +3,7 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload summarize --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload summarize --seed 1 --seconds 30 --trace 0
 
 It builds the library and the perfbench binary from source (Release, into
 .bench_build/), runs the output-check self-test once per build, sets the
@@ -23,60 +23,28 @@ import argparse
 import hashlib
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
+import time
 
-BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
-SOURCE_ROOT = os.path.dirname(BENCH_DIR)
+sys.dont_write_bytecode = True  # keep the checkout free of __pycache__
+import spec  # noqa: E402  (perfbench/spec.py, next to this file)
+
+BENCH_DIR = spec.BENCH_DIR
+SOURCE_ROOT = spec.SOURCE_ROOT
 BUILD_ROOT = os.path.join(os.getcwd(), ".bench_build")
 CMAKE_DIR = os.path.join(BUILD_ROOT, "perfbench")
 BINARY = os.path.join(CMAKE_DIR, "perfbench")
 
-WORKLOADS = ("summarize", "serve-personalized", "serve-sharded")
 # Set-up repetitions per run; set-up time is their median.
-SETUP_REPEATS = {"summarize": 15, "serve-personalized": 5, "serve-sharded": 3}
+SETUP_REPEATS = {"summarize": 15, "serve-personalized": 7, "serve-sharded": 4}
+# Self-test, set-up and measurement together end within this many seconds
+# of the build.
+MEASURE_BUDGET_S = 170
 
-# End-to-end metrics per workload, with units.
-END_TO_END = {
-    "summarize": ["setup_s", "build_s", "personalized_error", "peak_rss_mb"],
-    "serve-personalized": ["setup_s", "queries_per_s", "batch_p50_ms",
-                           "batch_tail_ms", "cpu_us_per_query",
-                           "top10_precision", "attach_ms", "peak_rss_mb"],
-    "serve-sharded": ["setup_s", "queries_per_s", "batch_p50_ms",
-                      "batch_tail_ms", "cpu_us_per_query", "top10_precision"],
-}
-UNITS = {
-    "setup_s": "s", "build_s": "s", "personalized_error": "weighted_entries",
-    "peak_rss_mb": "MB", "queries_per_s": "1/s", "batch_p50_ms": "ms",
-    "batch_tail_ms": "ms", "cpu_us_per_query": "us",
-    "top10_precision": "ratio", "attach_ms": "ms",
-}
-PER_LAYER = {
-    "graph.load_ms": "ms", "core.summarize_ms": "ms",
-    "core.iterations": "count", "core.merge_evaluations": "count",
-    "core.merges": "count", "core.merge_accept_ratio": "ratio",
-    "core.superedges_dropped": "count", "core.view_build_ms": "ms",
-    "core.psb_encode_ms": "ms", "core.psb_bytes": "bytes",
-    "core.arena_map_ms": "ms", "query.view_attach_us": "us",
-    "query.rwr_ms": "ms", "query.php_ms": "ms", "query.hop_us": "us",
-    "query.global_compute_ms": "ms", "serve.publish_us": "us",
-    "serve.parse_us": "us", "serve.format_us": "us",
-    "serve.answer_ms": "ms", "serve.dispatch_self_us": "us",
-    "serve.codec_us": "us", "serve.cache_hits": "count",
-    "serve.cache_computations": "count", "serve.cache_hit_ratio": "ratio",
-    "partition.ms": "ms", "shard.build_ms": "ms", "shard.answer_ms": "ms",
-    "shard.worker_answer_ms": "ms", "shard.overhead_ms": "ms",
-    "shard.frame_bytes": "bytes", "shard.fanout": "count",
-    "trace.overhead_pct": "%",
-}
-# Counters that must repeat bit for bit across traced runs of one seed.
-DETERMINISTIC = (
-    "core.iterations", "core.merge_evaluations", "core.merges",
-    "core.superedges_dropped", "core.psb_bytes", "shard.frame_bytes",
-    "shard.fanout", "serve.cache_hits", "serve.cache_computations",
-    "serve.cache_hit_ratio",
-)
+_children = set()
 
 
 def fail(message, code=1):
@@ -84,11 +52,46 @@ def fail(message, code=1):
     sys.exit(code)
 
 
+def stop(proc):
+    """Kills a child's whole process group and reaps the child."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.wait()
+
+
+def on_signal(signum, _frame):
+    for proc in list(_children):
+        stop(proc)
+    sys.exit(128 + signum)
+
+
+def run_child(cmd, timeout, **kwargs):
+    """subprocess.run in a process group of its own, so that a timeout or a
+    signal to this script stops the child and everything it started."""
+    proc = subprocess.Popen(cmd, start_new_session=True, **kwargs)
+    _children.add(proc)
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        stop(proc)
+        raise
+    finally:
+        _children.discard(proc)
+    return subprocess.CompletedProcess(cmd, proc.returncode, out, err)
+
+
+def captured(cmd, timeout):
+    return run_child(cmd, timeout, stdout=subprocess.PIPE,
+                     stderr=subprocess.PIPE, text=True)
+
+
 def run_logged(cmd, log_path, timeout):
     with open(log_path, "w") as log:
         try:
-            return subprocess.run(cmd, stdout=log, stderr=subprocess.STDOUT,
-                                  timeout=timeout).returncode
+            return run_child(cmd, timeout, stdout=log,
+                             stderr=subprocess.STDOUT).returncode
         except (OSError, subprocess.TimeoutExpired) as err:
             log.write("\n%s\n" % err)
             return 1
@@ -147,8 +150,7 @@ def source_digest():
 
 def commit():
     try:
-        out = subprocess.run(["git", "-C", SOURCE_ROOT, "rev-parse", "HEAD"],
-                             capture_output=True, text=True, timeout=10)
+        out = captured(["git", "-C", SOURCE_ROOT, "rev-parse", "HEAD"], 10)
         if out.returncode == 0:
             return out.stdout.strip()
     except (OSError, subprocess.TimeoutExpired):
@@ -157,8 +159,7 @@ def commit():
 
 
 def binary_info():
-    out = subprocess.run([BINARY, "info"], capture_output=True, text=True,
-                         timeout=30)
+    out = captured([BINARY, "info"], 30)
     if out.returncode != 0:
         fail("cannot query the perfbench binary", 2)
     info = json.loads(out.stdout.strip().splitlines()[-1])
@@ -168,7 +169,7 @@ def binary_info():
     return info
 
 
-def selftest(force=False):
+def selftest(deadline, force=False):
     """Runs the output-check self-test once per built binary."""
     marker = os.path.join(BUILD_ROOT, "selftest.ok")
     digest = file_digest(BINARY)
@@ -178,8 +179,11 @@ def selftest(force=False):
                 return
     work = os.path.join(BUILD_ROOT, "selftest")
     os.makedirs(work, exist_ok=True)
-    out = subprocess.run([BINARY, "selftest", "--dir", work],
-                         capture_output=True, text=True, timeout=120)
+    try:
+        out = captured([BINARY, "selftest", "--dir", work],
+                       max(1.0, deadline - time.monotonic()))
+    except subprocess.TimeoutExpired:
+        fail("output-check self-test timed out", 4)
     print(out.stdout, end="", file=sys.stderr if not force else sys.stdout)
     if out.returncode != 0:
         fail("output-check self-test failed", 4)
@@ -187,10 +191,9 @@ def selftest(force=False):
         f.write(digest + "\n")
 
 
-def invoke(args, timeout):
+def invoke(args, deadline):
     try:
-        out = subprocess.run([BINARY] + args, capture_output=True, text=True,
-                             timeout=timeout)
+        out = captured([BINARY] + args, max(1.0, deadline - time.monotonic()))
     except subprocess.TimeoutExpired:
         fail("'%s' timed out" % " ".join(args[:2]))
     if out.returncode != 0 or not out.stdout.strip():
@@ -205,7 +208,7 @@ def check_counters(workload, seed, layers, binary_digest):
     store = os.path.join(BUILD_ROOT, "counters")
     os.makedirs(store, exist_ok=True)
     path = os.path.join(store, "%s-%d.json" % (workload, seed))
-    counters = {k: layers[k] for k in DETERMINISTIC if k in layers}
+    counters = {k: layers[k] for k in spec.COUNTERS if k in layers}
     record = {"binary": binary_digest, "counters": counters}
     mismatches = []
     if os.path.isfile(path):
@@ -222,10 +225,18 @@ def check_counters(workload, seed, layers, binary_digest):
 
 
 def main():
+    try:
+        bench = spec.load()
+    except (OSError, ValueError, KeyError) as err:
+        fail("cannot read %s: %s" % (spec.BENCHMARK_JSON, err), 2)
+    units = {m["name"]: m["unit"] for m in bench["end_to_end"]}
+    per_layer = [(m["name"], m["unit"]) for m in bench["per_layer"]]
+
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", choices=WORKLOADS)
+    parser.add_argument("--workload", choices=spec.WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=15)
+    parser.add_argument("--seconds", type=float,
+                        default=bench["run_seconds"])
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--selftest", action="store_true",
                         help="build and run the output-check self-test only")
@@ -235,9 +246,12 @@ def main():
     if args.seed < 0:
         parser.error("--seed must be non-negative")
 
+    for signum in (signal.SIGTERM, signal.SIGINT, signal.SIGHUP):
+        signal.signal(signum, on_signal)
     build()
+    deadline = time.monotonic() + MEASURE_BUDGET_S
     info = binary_info()
-    selftest(force=args.selftest)
+    selftest(deadline, force=args.selftest)
     if args.selftest:
         return
 
@@ -247,41 +261,47 @@ def main():
         os.remove(os.path.join(work, name))
     common = ["--seed", str(args.seed), "--dir", work]
     setup = invoke(["setup", args.workload] + common +
-                   ["--repeats", str(SETUP_REPEATS[args.workload])], 150)
+                   ["--repeats", str(SETUP_REPEATS[args.workload])], deadline)
     run = invoke(["run", args.workload] + common +
                  ["--seconds", str(args.seconds), "--trace", str(args.trace)],
-                 args.seconds + 120)
+                 deadline)
 
     correct = setup["correct"] and run["correct"]
     errors = setup["errors"] + run["errors"]
+    for message in errors:
+        print("perfbench: check failed: " + message, file=sys.stderr)
     context = dict(setup["info"])
     context.update(run["info"])
     setup_s = statistics.median(setup["info"]["setup_s"])
     setup_s += run["info"].get("fleet_start_s", 0.0)
 
     metrics = {}
+    layer_context = {}
     if args.trace == 0:
-        values = dict(run["metrics"])
+        values = dict(setup["metrics"])
+        values.update(run["metrics"])
         values["setup_s"] = setup_s
-        for name in END_TO_END[args.workload]:
+        for name, unit in units.items():
             if name not in values:
                 fail("the perfbench binary did not report %s" % name)
-            metrics[name] = {"value": values[name], "unit": UNITS[name]}
+            metrics[name] = {"value": values[name], "unit": unit}
     else:
         layers = dict(setup["layers"])
         layers.update(run["layers"])
         mismatches = check_counters(args.workload, args.seed, layers,
                                     file_digest(BINARY))
-        if mismatches:
+        for m in mismatches:
             correct = False
-            errors += ["deterministic counter changed between traced runs: "
-                       + m for m in mismatches]
-        # A layer the workload does not exercise reads 0.
-        for name, unit in PER_LAYER.items():
-            metrics[name] = {"value": layers.get(name, 0), "unit": unit}
+            print("perfbench: check failed: deterministic counter changed "
+                  "between traced runs: " + m, file=sys.stderr)
+        for name, unit in per_layer:
+            if name not in layers:
+                fail("the perfbench binary did not report %s" % name)
+            metrics[name] = {"value": layers.pop(name), "unit": unit}
+        # Figures of layers only this workload runs (the sharded path's)
+        # go with the run's facts.
+        layer_context = layers
 
-    for message in errors:
-        print("perfbench: check failed: " + message, file=sys.stderr)
     meta = {
         "workload": args.workload, "seed": args.seed,
         "seconds": args.seconds, "trace": args.trace,
@@ -292,6 +312,8 @@ def main():
         "setup_s_each": setup["info"]["setup_s"],
         "context": context,
     }
+    if layer_context:
+        meta["layers"] = layer_context
     print(json.dumps({"meta": meta}))
     print(json.dumps({"correct": bool(correct),
                       "attempted": int(run["attempted"]),

@@ -1,14 +1,20 @@
 #include "perfbench/src/bench_util.h"
 
+#include <dirent.h>
+#include <linux/tcp.h>
+#include <netinet/in.h>
 #include <sched.h>
 #include <sys/resource.h>
+#include <sys/socket.h>
 #include <time.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -40,6 +46,35 @@ double PeakRssMb() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
+}
+
+uint64_t TcpBytesReceived() {
+  uint64_t total = 0;
+  DIR* fds = opendir("/proc/self/fd");
+  if (fds == nullptr) return 0;
+  while (const dirent* entry = readdir(fds)) {
+    char* end = nullptr;
+    const long fd = std::strtol(entry->d_name, &end, 10);
+    if (end == entry->d_name || *end != '\0' || fd == dirfd(fds)) continue;
+    int type = 0;
+    socklen_t len = sizeof(type);
+    if (getsockopt(static_cast<int>(fd), SOL_SOCKET, SO_TYPE, &type, &len) !=
+            0 ||
+        type != SOCK_STREAM) {
+      continue;
+    }
+    tcp_info info{};
+    len = sizeof(info);
+    if (getsockopt(static_cast<int>(fd), IPPROTO_TCP, TCP_INFO, &info, &len) !=
+            0 ||
+        len < offsetof(tcp_info, tcpi_bytes_received) +
+                  sizeof(info.tcpi_bytes_received)) {
+      continue;  // not TCP, or a kernel without the byte counter
+    }
+    total += info.tcpi_bytes_received;
+  }
+  closedir(fds);
+  return total;
 }
 
 namespace {
@@ -75,6 +110,25 @@ size_t RotateCpu(uint64_t round) {
   return slot;
 }
 
+size_t RotateProcessCpu(uint64_t round) {
+  const std::vector<int>& cpus = AllowedCpus();
+  if (cpus.size() < 2) return 0;
+  const size_t slot = round % cpus.size();
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpus[slot], &one);
+  DIR* tasks = opendir("/proc/self/task");
+  if (tasks == nullptr) return RotateCpu(round);
+  while (const dirent* entry = readdir(tasks)) {
+    char* end = nullptr;
+    const long tid = std::strtol(entry->d_name, &end, 10);
+    if (end == entry->d_name || *end != '\0') continue;
+    sched_setaffinity(static_cast<pid_t>(tid), sizeof(one), &one);
+  }
+  closedir(tasks);
+  return slot;
+}
+
 double CoreAveraged(const std::vector<double>& values,
                     const std::vector<size_t>& slots, double p) {
   std::map<size_t, std::vector<double>> by_slot;
@@ -84,6 +138,13 @@ double CoreAveraged(const std::vector<double>& values,
   double sum = 0.0;
   for (auto& [slot, samples] : by_slot) sum += Percentile(samples, p);
   return by_slot.empty() ? 0.0 : sum / static_cast<double>(by_slot.size());
+}
+
+double Mean(const std::vector<double>& values) {
+  if (values.empty()) return 0.0;
+  double sum = 0.0;
+  for (double v : values) sum += v;
+  return sum / static_cast<double>(values.size());
 }
 
 double Median(std::vector<double> values) {
@@ -120,6 +181,19 @@ bool WriteFile(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   return static_cast<bool>(out);
+}
+
+bool SameFileBytes(const std::string& a, const std::string& b) {
+  std::ifstream in_a(a, std::ios::binary), in_b(b, std::ios::binary);
+  if (!in_a || !in_b) return false;
+  char buf_a[4096], buf_b[4096];
+  while (true) {
+    in_a.read(buf_a, sizeof(buf_a));
+    in_b.read(buf_b, sizeof(buf_b));
+    const std::streamsize n = in_a.gcount();
+    if (n != in_b.gcount() || std::memcmp(buf_a, buf_b, n) != 0) return false;
+    if (n == 0) return in_a.eof() && in_b.eof();
+  }
 }
 
 namespace {

@@ -14,10 +14,20 @@ namespace perfbench {
 
 // Monotonic wall clock, in seconds.
 double WallSeconds();
-// CPU time of the whole process (all threads), in seconds.
+// CPU time of the whole process (all threads), in seconds. Single-threaded
+// compute (set-up, summarize passes) is timed on this clock: on the
+// reference host the hypervisor takes a vCPU away for up to a fifth of
+// wall time in busy phases, which wall time would count and CPU time does
+// not.
 double ProcessCpuSeconds();
 // Peak resident set of this process image so far, in MB (VmHWM).
 double PeakRssMb();
+
+// Payload bytes received so far on every TCP socket of this process, as
+// the kernel counts them (TCP_INFO tcpi_bytes_received). When both ends of
+// a loopback connection live in this process, the delta over an interval
+// is every byte sent over those connections in it, framing included.
+uint64_t TcpBytesReceived();
 
 // Pins the calling thread to the `round`-th allowed CPU, round robin, and
 // returns that CPU's slot (0 when only one CPU is allowed). Cores here
@@ -25,6 +35,11 @@ double PeakRssMb();
 // process stays on whichever core the scheduler picked; rotating makes a
 // single-threaded run sample every core equally.
 size_t RotateCpu(uint64_t round);
+// RotateCpu for every thread of the process at once: the whole process
+// runs on the `round`-th allowed CPU. A multi-threaded loop pinned this
+// way depends on one vCPU being available, not on several at the same
+// moment.
+size_t RotateProcessCpu(uint64_t round);
 // Number of CPU slots RotateCpu cycles through (at least 1).
 size_t CpuSlots();
 
@@ -34,6 +49,8 @@ size_t CpuSlots();
 double CoreAveraged(const std::vector<double>& values,
                     const std::vector<size_t>& slots, double p);
 
+// Arithmetic mean of `values`; 0 for an empty vector.
+double Mean(const std::vector<double>& values);
 // Median of `values` (mean of the two middle ones for an even count);
 // 0 for an empty vector.
 double Median(std::vector<double> values);
@@ -49,6 +66,9 @@ double OverheadPercent(const std::vector<double>& traced,
 // opened.
 bool ReadFile(const std::string& path, std::string* out);
 bool WriteFile(const std::string& path, const std::string& bytes);
+// True when both files open and hold the same bytes. Compares in small
+// chunks, so it adds next to nothing to the process's peak RSS.
+bool SameFileBytes(const std::string& a, const std::string& b);
 
 // An ordered JSON object, written as one line. Doubles keep every digit
 // (%.17g); non-finite doubles are written as null.

@@ -56,6 +56,24 @@ class Zipf {
   std::vector<double> cdf_;
 };
 
+// The read-heavy mix as counts per kShardedRoundRequests requests.
+struct Family {
+  const char* name;
+  size_t count;
+  bool node_rooted;
+};
+constexpr Family kReadHeavy[] = {
+    {"neighbors", 55, true}, {"hop", 10, true},     {"degree", 15, false},
+    {"rwr", 8, true},        {"php", 5, true},      {"pagerank", 4, false},
+    {"clustering", 3, false}};
+constexpr size_t MixTotal() {
+  size_t total = 0;
+  for (const Family& f : kReadHeavy) total += f.count;
+  return total;
+}
+static_assert(MixTotal() == kShardedRoundRequests);
+static_assert(kShardedRoundRequests % kShardedBatch == 0);
+
 }  // namespace
 
 const char* SummarizeInputName(int which) {
@@ -90,6 +108,24 @@ std::vector<NodeId> SummarizeInputTargets(int which, const Graph& graph,
   return Sample(graph.num_nodes(), 100, Stream(seed, 0x5ca7));
 }
 
+std::vector<std::string> TargetRound(const std::vector<NodeId>& targets,
+                                     uint64_t seed) {
+  Rng rng(Stream(seed, 0x70a3));
+  std::vector<std::string> lines;
+  for (NodeId t : targets) {
+    lines.push_back("rwr " + std::to_string(t));
+    lines.push_back("php " + std::to_string(t));
+  }
+  rng.Shuffle(lines);
+  const size_t batches =
+      (lines.size() + kPersonalizedBatch - 1) / kPersonalizedBatch;
+  std::vector<std::string> out(batches);
+  for (size_t i = 0; i < batches * kPersonalizedBatch; ++i) {
+    out[i / kPersonalizedBatch] += lines[i % lines.size()] + "\n";
+  }
+  return out;
+}
+
 Graph PersonalizedGraph(uint64_t seed) {
   return pegasus::MakeDataset(DatasetId::kDblp, DatasetScale::kSmall, seed)
       .graph;
@@ -100,8 +136,7 @@ std::vector<NodeId> PersonalizedTargets(const Graph& graph, uint64_t seed) {
 }
 
 std::vector<std::string> PersonalizedRound(const std::vector<NodeId>& targets,
-                                           uint64_t seed, size_t batches,
-                                           size_t per_batch) {
+                                           uint64_t seed, size_t batches) {
   Rng rng(Stream(seed, 0x2f1f));
   std::vector<NodeId> ranked = targets;  // popularity rank -> node
   rng.Shuffle(ranked);
@@ -109,9 +144,10 @@ std::vector<std::string> PersonalizedRound(const std::vector<NodeId>& targets,
   std::vector<std::string> out;
   for (size_t b = 0; b < batches; ++b) {
     std::vector<std::string> lines;
-    for (size_t i = 0; i < per_batch; ++i) {
+    for (size_t i = 0; i < kPersonalizedBatch; ++i) {
       const NodeId q = ranked[zipf.Sample(rng)];
-      lines.push_back((i % 2 == 0 ? "rwr " : "php ") + std::to_string(q));
+      lines.push_back((i < kPersonalizedRwr ? "rwr " : "php ") +
+                      std::to_string(q));
     }
     rng.Shuffle(lines);
     std::string text;
@@ -135,19 +171,26 @@ Graph ShardedGraph(uint64_t seed) {
       .graph;
 }
 
-std::vector<std::string> ShardedRound(NodeId num_nodes, uint64_t seed,
-                                      size_t batches) {
+std::vector<std::string> ShardedRound(NodeId num_nodes, uint64_t seed) {
+  // The mix's requests in family order, dealt round robin to the batches:
+  // every batch gets as even a share of each family as its size allows
+  // (7 scored requests in each), so no seed makes a batch much heavier
+  // than another.
   Rng rng(Stream(seed, 0x54a2));
+  constexpr size_t kBatches = kShardedRoundRequests / kShardedBatch;
+  std::vector<std::vector<std::string>> batches(kBatches);
+  size_t next = 0;
+  for (const Family& f : kReadHeavy) {
+    for (size_t i = 0; i < f.count; ++i, ++next) {
+      batches[next % kBatches].push_back(
+          f.node_rooted
+              ? std::string(f.name) + " " +
+                    std::to_string(rng.Uniform(num_nodes))
+              : std::string(f.name));
+    }
+  }
   std::vector<std::string> out;
-  for (size_t b = 0; b < batches; ++b) {
-    std::vector<std::string> lines;
-    auto node = [&] { return std::to_string(rng.Uniform(num_nodes)); };
-    for (int i = 0; i < 8; ++i) lines.push_back("neighbors " + node());
-    for (int i = 0; i < 4; ++i) lines.push_back("hop " + node());
-    lines.push_back("degree");
-    lines.push_back("pagerank");
-    lines.push_back("clustering");
-    lines.push_back("rwr " + node());
+  for (std::vector<std::string>& lines : batches) {
     rng.Shuffle(lines);
     std::string text;
     for (const std::string& line : lines) text += line + "\n";

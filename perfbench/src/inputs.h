@@ -35,6 +35,14 @@ std::vector<pegasus::NodeId> SummarizeInputTargets(int which,
                                                    const pegasus::Graph& graph,
                                                    uint64_t seed);
 
+// The queries each summarize pass answers on the summaries it built:
+// every target once as "rwr <t>" and once as "php <t>", in seeded order,
+// cut into batches of kPersonalizedBatch (the last one filled up from the
+// start of the order). Covering every target keeps the set of queries from
+// depending on a sample.
+std::vector<std::string> TargetRound(
+    const std::vector<pegasus::NodeId>& targets, uint64_t seed);
+
 // --- serve-personalized ----------------------------------------------------
 
 // The DBLP analog at small scale (10k nodes) and its 100 scattered
@@ -42,12 +50,19 @@ std::vector<pegasus::NodeId> SummarizeInputTargets(int which,
 pegasus::Graph PersonalizedGraph(uint64_t seed);
 std::vector<pegasus::NodeId> PersonalizedTargets(const pegasus::Graph& graph,
                                                  uint64_t seed);
-// One round of text batches: `batches` batches of `per_batch` queries,
-// half "rwr <q>" and half "php <q>" in seeded order, q drawn from the
-// targets with Zipf(1) popularity over a seeded ranking.
+// Queries per personalized batch, and how many of them are RWR (the rest
+// are PHP). The 5:3 split is the RWR:PHP ratio (25:15) of the analytics-
+// heavy mix in bench/bench_workload_replay.cc, the repository's one
+// traffic model. The batch size is an assumption: no source gives one.
+inline constexpr size_t kPersonalizedBatch = 8;
+inline constexpr size_t kPersonalizedRwr = 5;
+// One round of text batches: `batches` batches of kPersonalizedBatch
+// queries, kPersonalizedRwr "rwr <q>" and the rest "php <q>" in seeded
+// order, q drawn from the targets with Zipf(1) popularity over a seeded
+// ranking.
 std::vector<std::string> PersonalizedRound(
     const std::vector<pegasus::NodeId>& targets, uint64_t seed,
-    size_t batches, size_t per_batch);
+    size_t batches);
 // The fixed precision sample: the first `count` targets in seeded order.
 std::vector<pegasus::NodeId> PrecisionSample(
     const std::vector<pegasus::NodeId>& targets, uint64_t seed, size_t count);
@@ -56,11 +71,16 @@ std::vector<pegasus::NodeId> PrecisionSample(
 
 // The Caida analog at default scale.
 pegasus::Graph ShardedGraph(uint64_t seed);
-// One round of text batches with a fixed per-batch composition
-// (neighbors, hop, degree, pagerank, clustering and one rwr), nodes
-// uniform over V, order shuffled per batch.
-std::vector<std::string> ShardedRound(pegasus::NodeId num_nodes, uint64_t seed,
-                                      size_t batches);
+// Requests per sharded round and per batch. A round holds the read-heavy
+// mix of bench/bench_workload_replay.cc exactly, as counts per 100
+// requests: 55 neighbors, 10 hop, 15 degree, 8 rwr, 5 php, 4 pagerank,
+// 3 clustering. The batch size is an assumption: no source gives one.
+inline constexpr size_t kShardedRoundRequests = 100;
+inline constexpr size_t kShardedBatch = 20;
+// One round: the mix's requests with nodes uniform over V, spread evenly
+// over batches of kShardedBatch, each in seeded order.
+std::vector<std::string> ShardedRound(pegasus::NodeId num_nodes,
+                                      uint64_t seed);
 
 // --- shared ----------------------------------------------------------------
 

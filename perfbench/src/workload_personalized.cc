@@ -6,21 +6,26 @@
 // FormatBatchResponse, as `pegasus query --queries` does. The iterative
 // kernels do nearly all of the work.
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
+#include <cstdlib>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "perfbench/src/bench_util.h"
 #include "perfbench/src/checks.h"
 #include "perfbench/src/inputs.h"
+#include "perfbench/src/serving.h"
 #include "perfbench/src/workloads.h"
 #include "src/core/binary_summary_io.h"
 #include "src/core/pegasus.h"
-#include "src/core/summary_arena.h"
+#include "src/core/personal_weights.h"
+#include "src/eval/error_eval.h"
 #include "src/graph/io.h"
 #include "src/query/exact_queries.h"
 #include "src/query/summary_view.h"
@@ -37,14 +42,56 @@ using pegasus::QueryRequest;
 namespace {
 
 constexpr size_t kBatchesPerRound = 24;
-constexpr size_t kQueriesPerBatch = 8;
 constexpr size_t kPrecisionNodes = 64;
-constexpr int kAttachRepeats = 40;
+// Every kRebuildEvery-th round starts with a rebuild of the served file.
+constexpr uint64_t kRebuildEvery = 3;
 
 std::string EdgePath(const Args& a) { return a.dir + "/dblp.edges"; }
 std::string TargetPath(const Args& a) { return a.dir + "/dblp.targets"; }
 std::string PsbPath(const Args& a) { return a.dir + "/dblp.psb"; }
 std::string ExactPath(const Args& a) { return a.dir + "/exact_top10.txt"; }
+std::string RebuildPath(const Args& a) { return a.dir + "/dblp.rebuild.psb"; }
+
+pegasus::PegasusConfig Config(uint64_t seed) {
+  pegasus::PegasusConfig config;
+  config.seed = seed;
+  config.num_threads = 1;  // the serial engine, the CLI default
+  return config;
+}
+
+// Builds the served file again in a forked child: edge file →
+// LoadEdgeList → SummarizeGraphToRatio → SummaryView → PSB1 at `path`.
+// Returns the child's CPU time in seconds, or -1 when the build failed.
+// The child keeps the summarizer's memory out of the serving process's
+// peak RSS; the serving process has no threads, so it forks safely.
+double RebuildInChild(const Args& args, const std::vector<NodeId>& targets,
+                      const std::string& path) {
+  const pid_t pid = fork();
+  if (pid < 0) return -1.0;
+  if (pid == 0) {
+    bool ok = false;
+    auto graph = pegasus::LoadEdgeList(EdgePath(args));
+    if (graph) {
+      auto result = pegasus::SummarizeGraphToRatio(*graph, targets, kRatio,
+                                                   Config(args.seed));
+      if (result) {
+        const pegasus::SummaryView view(result->summary);
+        ok = pegasus::SaveSummaryBinary(view.layout(), path).ok();
+      }
+    }
+    std::_Exit(ok ? 0 : 1);
+  }
+  int status = 0;
+  struct rusage usage {};
+  if (wait4(pid, &status, 0, &usage) != pid || !WIFEXITED(status) ||
+      WEXITSTATUS(status) != 0) {
+    return -1.0;
+  }
+  auto seconds = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) + static_cast<double>(t.tv_usec) * 1e-6;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
 
 // Summary RWR/PHP on the identity (lossless) summary of a small graph must
 // match the exact power iteration on the graph itself.
@@ -74,25 +121,18 @@ void CheckIdentityAnchor(const Args& args, Report* report) {
   }
 }
 
-// The property checks of one scored answer.
-std::string CheckAnswer(const QueryRequest& request,
-                        const pegasus::QueryResult& result) {
-  if (request.kind == QueryKind::kRwr) {
-    return CheckRwrScores(result.scores, request.node, request.param);
-  }
-  return CheckPhpScores(result.scores, request.node);
-}
-
 }  // namespace
 
 void SetupPersonalized(const Args& args, Report* report) {
-  // Input generation is the benchmark's own work and stays untimed.
-  if (!pegasus::SaveEdgeList(PersonalizedGraph(args.seed), EdgePath(args))) {
-    report->FailCheck("cannot write " + EdgePath(args));
-    return;
-  }
+  // Input generation is the benchmark's own work and stays untimed;
+  // writing the edge file is set-up, and everything after it is the build.
+  const Graph generated = PersonalizedGraph(args.seed);
   std::vector<NodeId> targets;
   {
+    if (!pegasus::SaveEdgeList(generated, EdgePath(args))) {
+      report->FailCheck("cannot write " + EdgePath(args));
+      return;
+    }
     auto graph = pegasus::LoadEdgeList(EdgePath(args));
     if (!graph) {
       report->FailCheck(graph.status().ToString());
@@ -102,14 +142,18 @@ void SetupPersonalized(const Args& args, Report* report) {
     WriteNodeList(TargetPath(args), targets);
   }
 
-  pegasus::PegasusConfig config;
-  config.seed = args.seed;
+  const pegasus::PegasusConfig config = Config(args.seed);
   std::vector<double> times, load_ms, summarize_ms, view_ms, encode_ms;
   std::string first_psb;
   Graph graph;
   pegasus::SummarizationResult first;
   for (int rep = 0; rep < args.repeats; ++rep) {
     RotateCpu(static_cast<uint64_t>(rep));
+    const double c0 = ProcessCpuSeconds();
+    if (!pegasus::SaveEdgeList(generated, EdgePath(args))) {
+      report->FailCheck("cannot write " + EdgePath(args));
+      return;
+    }
     const double t0 = WallSeconds();
     auto loaded = pegasus::LoadEdgeList(EdgePath(args));
     const double t1 = WallSeconds();
@@ -133,7 +177,7 @@ void SetupPersonalized(const Args& args, Report* report) {
       report->FailCheck(saved.ToString());
       return;
     }
-    times.push_back(t4 - t0);
+    times.push_back(ProcessCpuSeconds() - c0);
     load_ms.push_back((t1 - t0) * 1e3);
     summarize_ms.push_back((t2 - t1) * 1e3);
     view_ms.push_back((t3 - t2) * 1e3);
@@ -153,12 +197,9 @@ void SetupPersonalized(const Args& args, Report* report) {
   }
 
   // Exact reference answers for the precision sample (untimed).
-  std::vector<ExactTop> exact;
-  for (NodeId q : PrecisionSample(targets, args.seed, kPrecisionNodes)) {
-    exact.push_back({"rwr", q, TopK(pegasus::ExactRwrScores(graph, q), kTop)});
-    exact.push_back({"php", q, TopK(pegasus::ExactPhpScores(graph, q), kTop)});
-  }
-  if (!WriteExactTops(ExactPath(args), exact)) {
+  const std::vector<NodeId> sample =
+      PrecisionSample(targets, args.seed, kPrecisionNodes);
+  if (!WriteExactTops(ExactPath(args), ExactScoredTops(graph, sample))) {
     report->FailCheck("cannot write " + ExactPath(args));
   }
 
@@ -167,6 +208,11 @@ void SetupPersonalized(const Args& args, Report* report) {
       .Add("edges", static_cast<uint64_t>(graph.num_edges()))
       .Add("supernodes", static_cast<uint64_t>(first.summary.num_supernodes()))
       .Add("superedges", first.summary.num_superedges());
+  report->metrics.Add("personalized_error",
+           pegasus::PersonalizedError(
+               graph, first.summary,
+               pegasus::PersonalWeights::Compute(graph, targets,
+                                                 config.alpha)));
   report->layers.Add("graph.load_ms", Median(load_ms))
       .Add("core.summarize_ms", Median(summarize_ms))
       .Add("core.iterations", static_cast<uint64_t>(first.iterations_run))
@@ -195,62 +241,40 @@ void RunPersonalized(const Args& args, Report* report) {
   options.num_threads = 1;  // Executor(1): answers on the calling thread
   pegasus::QueryService service(options);
 
-  // Attach: PSB path → SummaryArena::Map → view → Publish → first answer,
-  // warm page cache, repeated; the last attach serves the run.
+  // Attach once before the loop, then again at the start of every round
+  // (timed, so the samples span the whole run); each attach serves the
+  // round that follows it.
   std::vector<double> attach_ms, map_ms, view_us, publish_us;
-  std::shared_ptr<const pegasus::SummaryView> view;
   std::vector<size_t> attach_slot;
-  for (int rep = 0; rep < kAttachRepeats; ++rep) {
-    attach_slot.push_back(RotateCpu(static_cast<uint64_t>(rep)));
-    const double t0 = WallSeconds();
-    auto arena = pegasus::SummaryArena::Map(PsbPath(args));
-    const double t1 = WallSeconds();
-    if (!arena) {
-      report->FailCheck(arena.status().ToString());
-      return;
+  auto attach = [&](size_t slot) {
+    AttachSample sample;
+    auto attached =
+        Attach(PsbPath(args), targets[0], &service, &sample, report);
+    if (attached != nullptr) {
+      attach_ms.push_back(sample.total_ms);
+      attach_slot.push_back(slot);
+      map_ms.push_back(sample.map_ms);
+      view_us.push_back(sample.view_us);
+      publish_us.push_back(sample.publish_us);
     }
-    view = std::make_shared<const pegasus::SummaryView>(*std::move(arena));
-    const double t2 = WallSeconds();
-    service.Publish(view);
-    const double t3 = WallSeconds();
-    auto first = service.AnswerOne(
-        {QueryKind::kNeighbors, targets[0], pegasus::kQueryParamUseDefault,
-         true, {}});
-    const double t4 = WallSeconds();
-    if (!first) {
-      report->FailCheck(first.status().ToString());
-      return;
-    }
-    attach_ms.push_back((t4 - t0) * 1e3);
-    map_ms.push_back((t1 - t0) * 1e3);
-    view_us.push_back((t2 - t1) * 1e6);
-    publish_us.push_back((t3 - t2) * 1e6);
-  }
+    return attached;
+  };
+  std::shared_ptr<const pegasus::SummaryView> view = attach(RotateCpu(0));
+  if (view == nullptr) return;
   const NodeId n = view->num_nodes();
 
   // Precision of the fixed sample against exact answers on the input
   // graph, computed at set-up.
   double precision_sum = 0.0;
   size_t precision_count = 0;
-  for (const ExactTop& exact : ReadExactTops(ExactPath(args))) {
-    QueryRequest request;
-    request.kind = exact.kind == "rwr" ? QueryKind::kRwr : QueryKind::kPhp;
-    request.node = exact.node;
-    auto answer = service.AnswerOne(request);
-    if (!answer) {
-      report->FailCheck("precision sample query failed: " +
-                        answer.status().ToString());
-      continue;
-    }
-    precision_sum += PrecisionOf(exact.top, TopK(answer->scores, kTop), kTop);
-    ++precision_count;
-  }
+  AddPrecision(service, ReadExactTops(ExactPath(args)), &precision_sum,
+               &precision_count, report);
   if (precision_count != 2 * std::min(kPrecisionNodes, targets.size())) {
     report->FailCheck("exact reference answers are missing");
   }
 
   const std::vector<std::string> round =
-      PersonalizedRound(targets, args.seed, kBatchesPerRound, kQueriesPerBatch);
+      PersonalizedRound(targets, args.seed, kBatchesPerRound);
   {
     std::vector<std::vector<QueryRequest>> parsed;
     for (const std::string& text : round) {
@@ -262,11 +286,9 @@ void RunPersonalized(const Args& args, Report* report) {
 
   Tracer tracer(args.trace);
   pegasus::KernelScratch scratch;
-  std::vector<size_t> latency_slot;
-  std::vector<double> latency_ms, traced_ms, untraced_ms, parse_us, answer_ms,
-      format_us, dispatch_us, rwr_ms, php_ms;
-  double busy_s = 0.0, cpu_s = 0.0;
-  uint64_t queries = 0, rounds = 0;
+  ServeStats stats;
+  std::vector<double> build_s;
+  uint64_t rounds = 0;
   const double start = WallSeconds();
   // Traced runs alternate whole CPU rotations of traced and untraced
   // rounds, and need at least one of each.
@@ -276,123 +298,56 @@ void RunPersonalized(const Args& args, Report* report) {
        ++rounds) {
     tracer.set_recording((rounds / cycle) % 2 == 1);
     const size_t slot = RotateCpu(rounds);
+    if (rounds % kRebuildEvery == 0) {
+      const double cpu = RebuildInChild(args, targets, RebuildPath(args));
+      if (cpu < 0.0) {
+        report->FailCheck("rebuilding the served file failed");
+      } else if (!SameFileBytes(RebuildPath(args), PsbPath(args))) {
+        report->FailCheck("a rebuild of the served file differs from it");
+      } else {
+        build_s.push_back(cpu);
+      }
+    }
+    view = attach(slot);
+    if (view == nullptr) return;
     for (size_t b = 0; b < round.size(); ++b) {
-      const uint64_t batch_id = rounds * round.size() + b;
-      report->attempted += kQueriesPerBatch;
-      const double c0 = ProcessCpuSeconds();
-      const double t0 = WallSeconds();
-      auto requests = pegasus::serve::ParseBatchText(round[b], n);
-      const double t1 = WallSeconds();
-      pegasus::StatusOr<pegasus::QueryService::BatchResult> batch =
-          pegasus::Status::Internal("parse failed");
-      if (requests) batch = service.Answer(*requests);
-      const double t2 = WallSeconds();
-      std::string body;
-      if (batch) {
-        body = pegasus::serve::FormatBatchResponse(*requests, *batch, kTop);
-      }
-      const double t3 = WallSeconds();
-      cpu_s += ProcessCpuSeconds() - c0;
-      if (!batch) {
-        report->FailOp(batch.status().ToString());
-        report->failed += kQueriesPerBatch - 1;
-        continue;
-      }
-      busy_s += t3 - t0;
-      queries += requests->size();
-      // ParseBatchText keeps the use-default sentinel; the checks and the
-      // direct calls below need the parameters Answer resolved.
-      auto canonical = pegasus::serve::CanonicalizeBatch(*requests, n);
-      if (!canonical) {
-        report->FailOp(canonical.status().ToString());
-        continue;
-      }
-      latency_ms.push_back((t3 - t0) * 1e3);
-      latency_slot.push_back(slot);
-      if (args.trace) {
-        (tracer.recording() ? traced_ms : untraced_ms)
-            .push_back((t3 - t0) * 1e3);
-      }
-
-      // Untimed: every answer's properties and its formatted line.
-      std::istringstream lines(body);
-      for (size_t i = 0; i < requests->size(); ++i) {
-        std::string line;
-        std::getline(lines, line);
-        std::string problem = CheckAnswer((*canonical)[i], batch->results[i]);
-        if (problem.empty()) {
-          problem = CheckTopKLine(line, batch->results[i].scores, kTop);
-        }
-        if (!problem.empty()) report->FailOp(problem);
-      }
-
-      if (!tracer.recording()) continue;
-      const int64_t root = tracer.Record("batch", batch_id, t0, t3);
-      tracer.Record("serve.parse", batch_id, t0, t1, root);
-      tracer.Record("serve.answer", batch_id, t1, t2, root);
-      tracer.Record("serve.format", batch_id, t2, t3, root);
-      parse_us.push_back((t1 - t0) * 1e6);
-      answer_ms.push_back((t2 - t1) * 1e3);
-      format_us.push_back((t3 - t2) * 1e6);
-      // The same requests as direct kernel calls with a reused scratch;
-      // Answer minus these is the serving layer's own time.
-      double kernels_ms = 0.0;
-      for (size_t i = 0; i < requests->size(); ++i) {
-        const QueryRequest& r = (*canonical)[i];
-        const double k0 = WallSeconds();
-        std::vector<double> scores =
-            r.kind == QueryKind::kRwr
-                ? pegasus::SummaryRwrScores(*view, r.node, r.param, r.weighted,
-                                            r.opts, &scratch)
-                : pegasus::SummaryPhpScores(*view, r.node, r.param, r.weighted,
-                                            r.opts, &scratch);
-        const double k1 = WallSeconds();
-        tracer.Record(r.kind == QueryKind::kRwr ? "query.rwr" : "query.php",
-                      batch_id, k0, k1);
-        (r.kind == QueryKind::kRwr ? rwr_ms : php_ms).push_back((k1 - k0) * 1e3);
-        kernels_ms += (k1 - k0) * 1e3;
-        if (scores != batch->results[i].scores) {
-          report->FailOp("direct kernel call disagrees with Answer");
-        }
-      }
-      dispatch_us.push_back(((t2 - t1) * 1e3 - kernels_ms) * 1e3);
+      ServeScoredBatch(round[b], rounds * round.size() + b, slot, args.trace,
+                       service, *view, tracer, &scratch, &stats, report);
     }
   }
 
   report->info.Add("rounds", rounds)
-      .Add("batches", static_cast<uint64_t>(latency_ms.size()))
-      .Add("effective_cores", busy_s > 0 ? cpu_s / busy_s : 0.0)
-      .Add("single_thread_wall_s", busy_s)
-      .Add("single_thread_cpu_s", cpu_s)
+      .Add("batches", static_cast<uint64_t>(stats.latency_ms.size()))
+      .Add("effective_cores",
+           stats.busy_s > 0 ? stats.cpu_s / stats.busy_s : 0.0)
+      .Add("single_thread_wall_s", stats.busy_s)
+      .Add("single_thread_cpu_s", stats.cpu_s)
       .Add("tail_percentile", 90.0);
   if (!args.trace) {
+    AddServeMetrics({&stats}, &report->metrics);
     report->metrics
-        .Add("queries_per_s",
-             busy_s > 0 ? static_cast<double>(queries) / busy_s : 0.0)
-        .Add("batch_p50_ms", CoreAveraged(latency_ms, latency_slot, 50.0))
-        .Add("batch_tail_ms", CoreAveraged(latency_ms, latency_slot, 90.0))
-        .Add("cpu_us_per_query",
-             queries ? cpu_s * 1e6 / static_cast<double>(queries) : 0.0)
         .Add("top10_precision",
              precision_count ? precision_sum / static_cast<double>(precision_count)
                              : 0.0)
         .Add("attach_ms", CoreAveraged(attach_ms, attach_slot, 50.0))
+        .Add("build_s", Mean(build_s))
         .Add("peak_rss_mb", PeakRssMb());
     return;
   }
   const auto cache = service.cache_stats();
+  const uint64_t lookups = cache.hits + cache.computations;
+  AddServeLayers({&stats}, &report->layers);
   report->layers.Add("core.arena_map_ms", Median(map_ms))
       .Add("query.view_attach_us", Median(view_us))
       .Add("serve.publish_us", Median(publish_us))
-      .Add("query.rwr_ms", Median(rwr_ms))
-      .Add("query.php_ms", Median(php_ms))
-      .Add("serve.parse_us", Median(parse_us))
-      .Add("serve.answer_ms", Median(answer_ms))
-      .Add("serve.format_us", Median(format_us))
-      .Add("serve.dispatch_self_us", Median(dispatch_us))
       .Add("serve.cache_hits", cache.hits)
       .Add("serve.cache_computations", cache.computations)
-      .Add("trace.overhead_pct", OverheadPercent(traced_ms, untraced_ms));
+      .Add("serve.cache_hit_ratio",
+           lookups ? static_cast<double>(cache.hits) /
+                         static_cast<double>(lookups)
+                   : 0.0)
+      .Add("trace.overhead_pct",
+           OverheadPercent(stats.traced_ms, stats.untraced_ms));
   tracer.WriteJson(args.dir + "/trace.json");
 }
 

@@ -1,7 +1,10 @@
 // Workload `summarize`: edge-list files on disk → LoadEdgeList →
 // SummarizeGraphToRatio (serial engine) → SummaryView → SaveSummaryBinary,
-// once per input per pass. No query runs, so serving changes should leave
-// it unchanged; summarizer and PSB1 encode changes show here.
+// once per input per pass. The build dominates; each pass then puts the
+// summaries it wrote to use: it attaches each file to a one-worker
+// QueryService and answers a few batches of RWR/PHP queries about the
+// input's targets on it, so the serving figures here are those of freshly
+// built summaries.
 
 #include <cmath>
 #include <cstdio>
@@ -12,14 +15,16 @@
 #include "perfbench/src/bench_util.h"
 #include "perfbench/src/checks.h"
 #include "perfbench/src/inputs.h"
+#include "perfbench/src/serving.h"
 #include "perfbench/src/workloads.h"
 #include "src/core/binary_summary_io.h"
 #include "src/core/pegasus.h"
 #include "src/core/personal_weights.h"
-#include "src/core/summary_arena.h"
 #include "src/eval/error_eval.h"
 #include "src/graph/io.h"
+#include "src/query/kernel_scratch.h"
 #include "src/query/summary_view.h"
+#include "src/serve/query_service.h"
 
 namespace perfbench {
 
@@ -37,6 +42,16 @@ std::string TargetPath(const Args& args, int which) {
 std::string PsbPath(const Args& args, int which) {
   return args.dir + "/" + SummarizeInputName(which) + ".psb";
 }
+std::string ExactPath(const Args& args, int which) {
+  return args.dir + "/" + SummarizeInputName(which) + ".exact_top10.txt";
+}
+
+// Every pass answers the next kServeBatches batches of each input's
+// TargetRound, so a run covers every target several times while the build
+// still dominates each pass. kPrecisionNodes targets per input form the
+// precision sample.
+constexpr size_t kServeBatches = 4;
+constexpr size_t kPrecisionNodes = 16;
 
 // The work counters of one summarization; they must repeat exactly.
 struct Counters {
@@ -110,7 +125,7 @@ void SetupSummarize(const Args& args, Report* report) {
   std::vector<std::string> first(kSummarizeInputs);
   for (int rep = 0; rep < args.repeats; ++rep) {
     RotateCpu(static_cast<uint64_t>(rep));
-    const double t0 = WallSeconds();
+    const double t0 = ProcessCpuSeconds();
     for (int which = 0; which < kSummarizeInputs; ++which) {
       const Graph graph = SummarizeInputGraph(which, args.seed,
                                               pegasus::DatasetScale::kDefault);
@@ -119,7 +134,7 @@ void SetupSummarize(const Args& args, Report* report) {
         return;
       }
     }
-    times.push_back(WallSeconds() - t0);
+    times.push_back(ProcessCpuSeconds() - t0);
     for (int which = 0; which < kSummarizeInputs; ++which) {
       std::string bytes;
       ReadFile(EdgePath(args, which), &bytes);
@@ -147,6 +162,13 @@ void SetupSummarize(const Args& args, Report* report) {
                      static_cast<uint64_t>(graph->num_edges()));
     report->info.Add(std::string(SummarizeInputName(which)) + "_targets",
                      static_cast<uint64_t>(targets.size()));
+    // Exact reference answers for the precision sample (untimed).
+    if (!WriteExactTops(ExactPath(args, which),
+                        ExactScoredTops(*graph,
+                                        PrecisionSample(targets, args.seed,
+                                                        kPrecisionNodes)))) {
+      report->FailCheck("cannot write " + ExactPath(args, which));
+    }
   }
   report->info.Add("setup_s", times);
 }
@@ -160,6 +182,25 @@ void RunSummarize(const Args& args, Report* report) {
     }
   }
   CheckErrorAgainstBruteForce(args, report);
+
+  // One one-worker service per input; each pass re-attaches the file it
+  // wrote and answers the same batches.
+  std::vector<std::unique_ptr<pegasus::QueryService>> services;
+  std::vector<std::vector<std::string>> batches;
+  std::vector<std::vector<ExactTop>> exact;
+  for (int which = 0; which < kSummarizeInputs; ++which) {
+    pegasus::QueryService::Options options;
+    options.num_threads = 1;  // Executor(1): answers on the calling thread
+    services.push_back(std::make_unique<pegasus::QueryService>(options));
+    batches.push_back(TargetRound(targets[which], args.seed + which));
+    exact.push_back(ReadExactTops(ExactPath(args, which)));
+  }
+  std::vector<ServeStats> serve(kSummarizeInputs);
+  pegasus::KernelScratch scratch;
+  std::vector<double> attach_ms, map_ms, view_us, publish_us;
+  std::vector<size_t> attach_slot;
+  double precision_sum = 0.0;
+  size_t precision_count = 0;
 
   Tracer tracer(args.trace);
   const auto config = Config(args.seed);
@@ -180,6 +221,7 @@ void RunSummarize(const Args& args, Report* report) {
     tracer.set_recording((pass / cycle) % 2 == 1);
     const size_t slot = RotateCpu(pass);
     double pass_time = 0.0;
+    AttachSample attach_sum;
     Counters counters;
     for (int which = 0; which < kSummarizeInputs; ++which) {
       ++report->attempted;
@@ -216,9 +258,10 @@ void RunSummarize(const Args& args, Report* report) {
         saved = pegasus::SaveSummaryBinary(view->layout(), PsbPath(args, which));
       }
       const double t1 = WallSeconds();
+      const double c1 = ProcessCpuSeconds();
       busy_wall += t1 - t0;
-      busy_cpu += ProcessCpuSeconds() - c0;
-      pass_time += t1 - t0;
+      busy_cpu += c1 - c0;
+      pass_time += c1 - c0;
       if (!saved) {
         report->FailOp(saved.ToString());
         continue;
@@ -252,26 +295,37 @@ void RunSummarize(const Args& args, Report* report) {
         report->FailOp(problem);
         continue;
       }
-      if (tracer.recording()) {
-        pegasus::StatusOr<std::shared_ptr<const pegasus::SummaryArena>> arena =
-            pegasus::Status::Internal("unset");
-        {
-          Tracer::Scope span(tracer, "core.arena_map", pass);
-          arena = pegasus::SummaryArena::Map(PsbPath(args, which));
-        }
-        if (!arena) {
-          report->FailOp(arena.status().ToString());
-          continue;
-        }
-        std::unique_ptr<pegasus::SummaryView> mapped;
-        {
-          Tracer::Scope span(tracer, "query.view_attach", pass);
-          mapped = std::make_unique<pegasus::SummaryView>(*arena);
-        }
-        if (mapped->num_supernodes() != view->num_supernodes()) {
-          report->FailOp("mapped view disagrees with the built view");
-        }
+      // Untimed for build_s: the summary put to use.
+      AttachSample attach;
+      const auto served = Attach(PsbPath(args, which), targets[which][0],
+                                 services[which].get(), &attach, report);
+      if (served == nullptr) continue;
+      attach_sum.total_ms += attach.total_ms;
+      attach_sum.map_ms += attach.map_ms;
+      attach_sum.view_us += attach.view_us;
+      attach_sum.publish_us += attach.publish_us;
+      if (served->num_supernodes() != view->num_supernodes()) {
+        report->FailCheck("mapped view disagrees with the built view");
       }
+      if (pass == 0) {
+        AddPrecision(*services[which], exact[which], &precision_sum,
+                     &precision_count, report);
+      }
+      for (size_t i = 0; i < kServeBatches; ++i) {
+        const uint64_t batch_id =
+            (pass * kSummarizeInputs + which) * kServeBatches + i;
+        const std::vector<std::string>& round = batches[which];
+        ServeScoredBatch(round[(pass * kServeBatches + i) % round.size()],
+                         batch_id, slot, args.trace, *services[which],
+                         *served, tracer, &scratch, &serve[which], report);
+      }
+    }
+    attach_ms.push_back(attach_sum.total_ms);
+    attach_slot.push_back(slot);
+    if (tracer.recording()) {
+      map_ms.push_back(attach_sum.map_ms);
+      view_us.push_back(attach_sum.view_us);
+      publish_us.push_back(attach_sum.publish_us);
     }
     if (pass == 0) {
       reference_counters = counters;
@@ -287,10 +341,21 @@ void RunSummarize(const Args& args, Report* report) {
       .Add("effective_cores", busy_wall > 0 ? busy_cpu / busy_wall : 0.0)
       .Add("single_thread_wall_s", busy_wall)
       .Add("single_thread_cpu_s", busy_cpu);
+  size_t expected_precision = 0;
+  for (const auto& e : exact) expected_precision += e.size();
+  if (expected_precision == 0 || precision_count != expected_precision) {
+    report->FailCheck("exact reference answers are missing");
+  }
   if (!args.trace) {
     report->metrics.Add("build_s", CoreAveraged(pass_s, pass_slot, 50.0))
         .Add("personalized_error", personalized_error)
+        .Add("attach_ms", CoreAveraged(attach_ms, attach_slot, 50.0))
+        .Add("top10_precision",
+             precision_count
+                 ? precision_sum / static_cast<double>(precision_count)
+                 : 0.0)
         .Add("peak_rss_mb", PeakRssMb());
+    AddServeMetrics({&serve[0], &serve[1]}, &report->metrics);
     return;
   }
   // Per-layer: per-pass sums over the two inputs, median over traced
@@ -316,8 +381,22 @@ void RunSummarize(const Args& args, Report* report) {
       .Add("core.view_build_ms", per_pass("core.view_build", 1.0))
       .Add("core.psb_encode_ms", per_pass("core.psb_encode", 1.0))
       .Add("core.psb_bytes", c.psb_bytes)
-      .Add("core.arena_map_ms", per_pass("core.arena_map", 1.0))
-      .Add("query.view_attach_us", per_pass("query.view_attach", 1e3))
+      .Add("core.arena_map_ms", Median(map_ms))
+      .Add("query.view_attach_us", Median(view_us))
+      .Add("serve.publish_us", Median(publish_us));
+  AddServeLayers({&serve[0], &serve[1]}, &report->layers);
+  pegasus::QueryService::CacheStats cache;
+  for (const auto& service : services) {
+    cache.hits += service->cache_stats().hits;
+    cache.computations += service->cache_stats().computations;
+  }
+  const uint64_t lookups = cache.hits + cache.computations;
+  report->layers.Add("serve.cache_hits", cache.hits)
+      .Add("serve.cache_computations", cache.computations)
+      .Add("serve.cache_hit_ratio",
+           lookups ? static_cast<double>(cache.hits) /
+                         static_cast<double>(lookups)
+                   : 0.0)
       .Add("trace.overhead_pct", OverheadPercent(traced_pass_s, untraced_pass_s));
   tracer.WriteJson(args.dir + "/trace.json");
 }

@@ -1,6 +1,9 @@
 // The three workloads. Each has a set-up step (run in its own process,
 // repeated so its time is a median) and a measured run (another process,
-// so peak RSS covers serving alone). Both write into `dir`.
+// so peak RSS leaves out the set-up). Both write into `dir`. Between them
+// they report every end-to-end metric: set-up reports what its build
+// measures (build_s and personalized_error where set-up builds the served
+// files), the run the rest.
 
 #ifndef PERFBENCH_SRC_WORKLOADS_H_
 #define PERFBENCH_SRC_WORKLOADS_H_
@@ -22,7 +25,8 @@ struct Args {
 };
 
 // Set-up: fills report->info["setup_s"] with one time per repetition and,
-// where set-up exercises a layer, report->layers.
+// where set-up builds the served files, report->metrics and
+// report->layers.
 void SetupSummarize(const Args& args, Report* report);
 void SetupPersonalized(const Args& args, Report* report);
 void SetupSharded(const Args& args, Report* report);
